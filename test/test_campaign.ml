@@ -226,6 +226,83 @@ let test_result_bad_lines () =
         (Result.is_error (Job_result.of_line line)))
     [ ""; "{}"; "[1,2]"; "{\"job\":\"x\""; "not json at all" ]
 
+(* Literal store lines written by earlier codec generations.  Whatever
+   the in-memory counter representation becomes, these must keep
+   decoding to the same counters, read back under the [metrics]
+   response's canonical names. *)
+
+(* PR-2 era: only the eight original evaluator keys. *)
+let golden_line_8 =
+  {|{"job":"C17/standard/s1","circuit":"C17","method":"standard","seed":1,"derived_seed":17,"module_size":null,"status":"ok","elapsed":0.5,"modules":2,"generations":0,"module_sizes":[3,3],"cost":1.5,"feasible":true,"area":2e-10,"nominal_delay":1.0,"bic_delay":1.25,"test_time":1.5,"min_disc":3.0,"metrics":{"full":7,"delta":11,"hits":13,"moves":17,"gates_full":19,"gates_delta":23,"sec_full":0.25,"sec_delta":0.125}}|}
+
+(* PR-10 era: all 21 legacy keys. *)
+let golden_line_21 =
+  {|{"job":"C432/evolution/s2","circuit":"C432","method":"evolution","seed":2,"derived_seed":99,"module_size":8,"status":"timeout","timeout_s":1.5,"elapsed":2.0,"modules":0,"generations":0,"module_sizes":[],"cost":0.0,"feasible":false,"area":0.0,"nominal_delay":0.0,"bic_delay":0.0,"test_time":0.0,"min_disc":0.0,"metrics":{"full":1,"delta":2,"hits":3,"moves":4,"gates_full":5,"gates_delta":6,"sec_full":0.5,"sec_delta":0.25,"sim_blocks":7,"sim_fault_blocks":8,"sim_dropped":9,"sim_steals":10,"requests":11,"requests_failed":12,"sec_requests":0.75,"srv_hits":13,"srv_misses":14,"srv_evictions":15,"srv_sheds":16,"srv_queue_peak":17,"srv_wbuf_peak":18}}|}
+
+let canonical_counters (s : Iddq_util.Metrics.snapshot) =
+  match Iddq_server.Protocol.snapshot_json s with
+  | Json.Obj kvs -> List.sort compare kvs
+  | _ -> Alcotest.fail "counter set is not a JSON object"
+
+let expected_counters overrides =
+  let zeros =
+    List.map (fun k -> (k, Json.Int 0))
+      [
+        "requests"; "requests_failed"; "cache_hits"; "cache_misses";
+        "cache_evictions"; "full_evals"; "delta_evals"; "eval_cache_hits";
+        "moves"; "gates_full"; "gates_delta"; "sim_blocks";
+        "sim_fault_blocks"; "sim_faults_dropped"; "sim_steals"; "sheds";
+        "queue_peak"; "wbuf_peak";
+      ]
+    @ List.map (fun k -> (k, Json.Float 0.0))
+        [ "seconds_requests"; "seconds_full"; "seconds_delta" ]
+  in
+  List.sort compare
+    (List.map
+       (fun (k, v) ->
+         match List.assoc_opt k overrides with Some v' -> (k, v') | None -> (k, v))
+       zeros)
+
+let decode_golden line =
+  match Job_result.of_line line with
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("golden line rejected: " ^ e)
+
+let counters_t = Alcotest.(list (pair string (testable (fun fmt j -> Format.pp_print_string fmt (Json.to_string j)) ( = ))))
+
+let test_result_golden_lines () =
+  let r8 = decode_golden golden_line_8 in
+  Alcotest.(check string) "8-key job" "C17/standard/s1" r8.Job_result.job_id;
+  Alcotest.(check (float 0.0)) "8-key cost" 1.5 r8.Job_result.cost;
+  Alcotest.check counters_t "8-key counters, absent ones zero"
+    (expected_counters
+       [
+         ("full_evals", Json.Int 7); ("delta_evals", Json.Int 11);
+         ("eval_cache_hits", Json.Int 13); ("moves", Json.Int 17);
+         ("gates_full", Json.Int 19); ("gates_delta", Json.Int 23);
+         ("seconds_full", Json.Float 0.25); ("seconds_delta", Json.Float 0.125);
+       ])
+    (canonical_counters r8.Job_result.metrics);
+  let r21 = decode_golden golden_line_21 in
+  Alcotest.(check bool) "21-key status" true
+    (r21.Job_result.status = Job_result.Timeout 1.5);
+  Alcotest.check counters_t "21-key counters"
+    (expected_counters
+       [
+         ("full_evals", Json.Int 1); ("delta_evals", Json.Int 2);
+         ("eval_cache_hits", Json.Int 3); ("moves", Json.Int 4);
+         ("gates_full", Json.Int 5); ("gates_delta", Json.Int 6);
+         ("seconds_full", Json.Float 0.5); ("seconds_delta", Json.Float 0.25);
+         ("sim_blocks", Json.Int 7); ("sim_fault_blocks", Json.Int 8);
+         ("sim_faults_dropped", Json.Int 9); ("sim_steals", Json.Int 10);
+         ("requests", Json.Int 11); ("requests_failed", Json.Int 12);
+         ("seconds_requests", Json.Float 0.75); ("cache_hits", Json.Int 13);
+         ("cache_misses", Json.Int 14); ("cache_evictions", Json.Int 15);
+         ("sheds", Json.Int 16); ("queue_peak", Json.Int 17);
+         ("wbuf_peak", Json.Int 18);
+       ])
+    (canonical_counters r21.Job_result.metrics)
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -544,6 +621,7 @@ let tests =
     Alcotest.test_case "spec errors" `Quick test_spec_errors;
     Alcotest.test_case "result codec roundtrip" `Quick test_result_codec_roundtrip;
     Alcotest.test_case "result bad lines" `Quick test_result_bad_lines;
+    Alcotest.test_case "result golden lines" `Quick test_result_golden_lines;
     Alcotest.test_case "store latest wins" `Quick test_store_latest_wins;
     Alcotest.test_case "store tolerates truncation" `Quick
       test_store_tolerates_truncation;

@@ -308,6 +308,42 @@ let test_service_cache_hits () =
     (s2.Metrics.requests >= 3 && s2.Metrics.seconds_requests >= 0.0);
   Service.stop service
 
+(* The [metrics] response's counter keys and JSON kinds are a wire
+   contract: load generators and benchmark drivers read them by name. *)
+let test_metrics_counter_keys () =
+  let service = Service.create ~metrics:(Metrics.create ()) () in
+  let payload = ask_ok "metrics" service Protocol.Metrics in
+  let kinds =
+    match Json.member "counters" payload with
+    | Some (Json.Obj kvs) ->
+      List.sort compare
+        (List.map
+           (fun (k, v) ->
+             ( k,
+               match v with
+               | Json.Int _ -> "int"
+               | Json.Float _ -> "float"
+               | _ -> "other" ))
+           kvs)
+    | _ -> Alcotest.fail "metrics response lacks a counters object"
+  in
+  Alcotest.(check (list (pair string string)))
+    "21 counters, names and kinds"
+    [
+      ("cache_evictions", "int"); ("cache_hits", "int");
+      ("cache_misses", "int"); ("delta_evals", "int");
+      ("eval_cache_hits", "int"); ("full_evals", "int");
+      ("gates_delta", "int"); ("gates_full", "int"); ("moves", "int");
+      ("queue_peak", "int"); ("requests", "int");
+      ("requests_failed", "int"); ("seconds_delta", "float");
+      ("seconds_full", "float"); ("seconds_requests", "float");
+      ("sheds", "int"); ("sim_blocks", "int"); ("sim_fault_blocks", "int");
+      ("sim_faults_dropped", "int"); ("sim_steals", "int");
+      ("wbuf_peak", "int");
+    ]
+    kinds;
+  Service.stop service
+
 let test_service_errors () =
   let service = Service.create () in
   (match
@@ -895,6 +931,7 @@ let tests =
     Alcotest.test_case "response shapes" `Quick test_response_shapes;
     Alcotest.test_case "service cache hits" `Quick test_service_cache_hits;
     Alcotest.test_case "service errors" `Quick test_service_errors;
+    Alcotest.test_case "metrics counter keys" `Quick test_metrics_counter_keys;
     Alcotest.test_case "service diagnose cached" `Quick
       test_service_diagnose_cached;
     Alcotest.test_case "service testset cached" `Quick
