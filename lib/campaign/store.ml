@@ -21,29 +21,44 @@ let open_ path =
     if Sys.file_exists path then
       Iddq_util.Io.with_in path (fun ic ->
           let lines = In_channel.input_lines ic in
-          (* a file not ending in '\n' was torn mid-write; the next
-             append must not glue onto the partial line *)
+          (* a file not ending in '\n' was torn mid-write: its last
+             line is the record that was being written *)
           let len = in_channel_length ic in
           let torn =
             len > 0
             && (seek_in ic (len - 1);
                 input_char ic <> '\n')
           in
-          (lines, torn))
-    else Ok ([], false)
+          if torn then
+            let partial = List.nth lines (List.length lines - 1) in
+            (List.filteri (fun i _ -> i < List.length lines - 1) lines,
+             Some (len - String.length partial))
+          else (lines, None))
+    else Ok ([], None)
+  in
+  (* cut a torn record off (even one cut just before its '\n' that
+     still parses) so the next append starts a fresh line and the torn
+     record never comes back on a later open *)
+  let cut = function
+    | Some keep -> (
+      try Unix.truncate path keep; Ok 1
+      with Unix.Unix_error (e, _, _) ->
+        Error (Iddq_util.Io_error.of_sys_error ~path (Unix.error_message e)))
+    | None -> Ok 0
   in
   match scan with
   | Error e -> Error e
-  | Ok (existing, torn_tail) -> begin
-    match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path with
-    | exception Sys_error m -> Error (Iddq_util.Io_error.of_sys_error ~path m)
-    | out ->
-      if torn_tail then output_char out '\n';
-      let t =
-        { path; table = Hashtbl.create 64; order = []; dropped = 0; out }
-      in
-      List.iter (load_line t) existing;
-      Ok t
+  | Ok (existing, torn) -> begin
+    match cut torn with
+    | Error e -> Error e
+    | Ok dropped -> begin
+      match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path with
+      | exception Sys_error m -> Error (Iddq_util.Io_error.of_sys_error ~path m)
+      | out ->
+        let t = { path; table = Hashtbl.create 64; order = []; dropped; out } in
+        List.iter (load_line t) existing;
+        Ok t
+    end
   end
 
 let path t = t.path
