@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke ci examples doc clean
+.PHONY: all build test bench bench-quick bench-smoke bench-self-test campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke ci examples doc clean
 
 all: build
 
@@ -23,6 +23,14 @@ bench-quick:
 # >= 5x fewer evaluate-equivalents checks (seconds).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
+
+# Benchmark-driver self-test: builds perfbench/bench.exe against the
+# current library, feeds every output check a wrong answer, and runs
+# each BENCHMARK.json workload once plain and once traced, so a library
+# API or metrics-key change that breaks the driver fails here (about
+# a minute).
+bench-self-test:
+	python3 perfbench/run.py --self-test
 
 # Checkpoint/resume check: a tiny campaign run twice against the same
 # store.  The first run executes every job on a 2-domain pool; the
@@ -118,8 +126,8 @@ loadgen-smoke:
 # What a per-PR check runs: build, tests, evaluation-count smoke,
 # campaign resume smoke, packed fault-sim speedup gate, flat-kernel
 # gate, diagnosis accuracy gate, mutation fuzz, resident-service
-# smoke, event-loop load gate.
-ci: build test bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke
+# smoke, event-loop load gate, benchmark-driver self-test.
+ci: build test bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke bench-self-test
 
 examples:
 	dune exec examples/quickstart.exe

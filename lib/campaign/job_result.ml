@@ -88,17 +88,7 @@ let test_time_overhead_percent r =
   else 0.0
 
 let strip_timing r =
-  {
-    r with
-    elapsed = 0.0;
-    metrics =
-      {
-        r.metrics with
-        Metrics.seconds_full = 0.0;
-        seconds_delta = 0.0;
-        seconds_requests = 0.0;
-      };
-  }
+  { r with elapsed = 0.0; metrics = Metrics.strip_timing r.metrics }
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
@@ -110,32 +100,6 @@ let status_fields = function
     [ ("status", Json.String "failed"); ("error", Json.String msg) ]
   | Timeout limit ->
     [ ("status", Json.String "timeout"); ("timeout_s", Json.Float limit) ]
-
-let metrics_json (m : Metrics.snapshot) =
-  Json.Obj
-    [
-      ("full", Json.Int m.Metrics.full_evals);
-      ("delta", Json.Int m.Metrics.delta_evals);
-      ("hits", Json.Int m.Metrics.cache_hits);
-      ("moves", Json.Int m.Metrics.moves);
-      ("gates_full", Json.Int m.Metrics.gates_full);
-      ("gates_delta", Json.Int m.Metrics.gates_delta);
-      ("sec_full", Json.Float m.Metrics.seconds_full);
-      ("sec_delta", Json.Float m.Metrics.seconds_delta);
-      ("sim_blocks", Json.Int m.Metrics.sim_blocks);
-      ("sim_fault_blocks", Json.Int m.Metrics.sim_fault_blocks);
-      ("sim_dropped", Json.Int m.Metrics.sim_faults_dropped);
-      ("sim_steals", Json.Int m.Metrics.sim_steals);
-      ("requests", Json.Int m.Metrics.requests);
-      ("requests_failed", Json.Int m.Metrics.requests_failed);
-      ("sec_requests", Json.Float m.Metrics.seconds_requests);
-      ("srv_hits", Json.Int m.Metrics.server_cache_hits);
-      ("srv_misses", Json.Int m.Metrics.server_cache_misses);
-      ("srv_evictions", Json.Int m.Metrics.server_cache_evictions);
-      ("srv_sheds", Json.Int m.Metrics.server_sheds);
-      ("srv_queue_peak", Json.Int m.Metrics.server_queue_peak);
-      ("srv_wbuf_peak", Json.Int m.Metrics.server_wbuf_peak);
-    ]
 
 let to_json r =
   Json.Obj
@@ -161,7 +125,7 @@ let to_json r =
         ("bic_delay", Json.Float r.bic_delay);
         ("test_time", Json.Float r.test_time_per_vector);
         ("min_disc", Json.Float r.min_discriminability);
-        ("metrics", metrics_json r.metrics);
+        ("metrics", Metrics.to_json r.metrics);
       ])
 
 let of_json j =
@@ -222,49 +186,10 @@ let of_json j =
   let* bic_delay = field "bic_delay" Json.to_float in
   let* test_time_per_vector = field "test_time" Json.to_float in
   let* min_discriminability = field "min_disc" Json.to_float in
-  let* mj =
-    match Json.member "metrics" j with
-    | Some m -> Ok m
-    | None -> Error "result record: missing metrics"
+  let* mj = field "metrics" Option.some in
+  let* metrics =
+    Result.map_error (( ^ ) "result record: ") (Metrics.of_json mj)
   in
-  let mfield name decode =
-    match Option.bind (Json.member name mj) decode with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "result record: bad metrics field %S" name)
-  in
-  let* full_evals = mfield "full" Json.to_int in
-  let* delta_evals = mfield "delta" Json.to_int in
-  let* cache_hits = mfield "hits" Json.to_int in
-  let* moves = mfield "moves" Json.to_int in
-  let* gates_full = mfield "gates_full" Json.to_int in
-  let* gates_delta = mfield "gates_delta" Json.to_int in
-  let* seconds_full = mfield "sec_full" Json.to_float in
-  let* seconds_delta = mfield "sec_delta" Json.to_float in
-  (* fault-sim counters postdate the first stores: absent means 0 *)
-  let mfield_default name =
-    match Option.bind (Json.member name mj) Json.to_int with
-    | Some v -> v
-    | None -> 0
-  in
-  let sim_blocks = mfield_default "sim_blocks" in
-  let sim_fault_blocks = mfield_default "sim_fault_blocks" in
-  let sim_faults_dropped = mfield_default "sim_dropped" in
-  let sim_steals = mfield_default "sim_steals" in
-  (* server counters postdate the first stores: absent means 0 *)
-  let requests = mfield_default "requests" in
-  let requests_failed = mfield_default "requests_failed" in
-  let seconds_requests =
-    match Option.bind (Json.member "sec_requests" mj) Json.to_float with
-    | Some v -> v
-    | None -> 0.0
-  in
-  let server_cache_hits = mfield_default "srv_hits" in
-  let server_cache_misses = mfield_default "srv_misses" in
-  (* eviction counter postdates the first stores: absent means 0 *)
-  let server_cache_evictions = mfield_default "srv_evictions" in
-  let server_sheds = mfield_default "srv_sheds" in
-  let server_queue_peak = mfield_default "srv_queue_peak" in
-  let server_wbuf_peak = mfield_default "srv_wbuf_peak" in
   Ok
     {
       job_id;
@@ -285,30 +210,7 @@ let of_json j =
       bic_delay;
       test_time_per_vector;
       min_discriminability;
-      metrics =
-        {
-          Metrics.full_evals;
-          delta_evals;
-          cache_hits;
-          moves;
-          gates_full;
-          gates_delta;
-          seconds_full;
-          seconds_delta;
-          sim_blocks;
-          sim_fault_blocks;
-          sim_faults_dropped;
-          sim_steals;
-          requests;
-          requests_failed;
-          seconds_requests;
-          server_cache_hits;
-          server_cache_misses;
-          server_cache_evictions;
-          server_sheds;
-          server_queue_peak;
-          server_wbuf_peak;
-        };
+      metrics;
     }
 
 let to_line r = Json.to_string (to_json r)

@@ -35,8 +35,8 @@ type t = {
   test_time_per_vector : float;
   min_discriminability : float;
   metrics : Iddq_util.Metrics.snapshot;
-      (** This job's evaluation counters ([seconds_*] are timing
-          fields). *)
+      (** This job's counters (the [Seconds] ones are timing
+          fields); encoded by {!Iddq_util.Metrics.to_json}. *)
 }
 
 val is_ok : t -> bool

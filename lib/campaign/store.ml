@@ -52,7 +52,9 @@ let open_ path =
     match cut torn with
     | Error e -> Error e
     | Ok dropped -> begin
-      match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path with
+      match
+        open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
+      with
       | exception Sys_error m -> Error (Iddq_util.Io_error.of_sys_error ~path m)
       | out ->
         let t = { path; table = Hashtbl.create 64; order = []; dropped; out } in

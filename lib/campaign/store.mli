@@ -6,8 +6,9 @@
     truncated line (or any corrupt line) is counted in {!dropped} and
     skipped, never fatal.  A final line without its newline is the
     torn record: it is cut off the file, even when what is left of it
-    still parses, so the next append starts a fresh line.  When a job id appears on several lines —
-    a failure re-run after a resume — the {e last} line wins.
+    still parses, so the next append starts a fresh line.  When a job
+    id appears on several lines — a failure re-run after a resume —
+    the {e last} line wins.
 
     A store handle is not domain-safe; the campaign runner serializes
     access under its scheduler lock. *)

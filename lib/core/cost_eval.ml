@@ -61,7 +61,7 @@ let move t ~gate ~target =
     t.dirty.(src) <- true;
     t.dirty.(target) <- true;
     t.cached <- None;
-    Metrics.record_move t.metrics
+    Metrics.incr t.metrics Metrics.moves
   end
 
 (* Identical sizing call to [Partition.sensors] so cached and freshly
@@ -130,7 +130,7 @@ let refresh t =
 let breakdown t =
   match t.cached with
   | Some b ->
-    Metrics.record_hit t.metrics;
+    Metrics.incr t.metrics Metrics.eval_cache_hits;
     b
   | None -> refresh t
 

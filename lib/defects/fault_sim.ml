@@ -30,33 +30,34 @@ let measurable p (inj : Fault.injected) =
   Partition.leakage p m +. inj.Fault.defect_current
   >= tech.Technology.iddq_threshold
 
-let parallel_ranges ~domains n f =
-  let d = Stdlib.max 1 (Stdlib.min domains n) in
-  if d <= 1 then begin
-    if n > 0 then f 0 n
-  end
-  else begin
-    let per = (n + d - 1) / d in
-    let spawned =
-      List.init (d - 1) (fun i ->
-          let lo = (i + 1) * per in
-          let hi = Stdlib.min n (lo + per) in
-          Domain.spawn (fun () -> if lo < hi then f lo hi))
-    in
-    f 0 (Stdlib.min n per);
-    List.iter Domain.join spawned
-  end
+(* Faults are scheduled as round-robin chunks over the pool rather
+   than fixed per-domain ranges: fault dropping (and the measurable
+   filter) makes per-fault cost wildly uneven, and a domain whose
+   static range emptied early used to idle.  Chunks small enough to
+   rebalance, large enough that one atomic claim amortizes. *)
+let fault_chunk = 64
 
-let good_values ?(domains = 1) ?metrics c packed =
+let fault_chunks ?metrics pool n f =
+  let steals =
+    Domain_pool.run pool ~chunks:((n + fault_chunk - 1) / fault_chunk)
+      (fun ch ->
+        let lo = ch * fault_chunk in
+        let fault_blocks, dropped = f lo (Stdlib.min n (lo + fault_chunk)) in
+        Option.iter
+          (fun m ->
+            Metrics.record m Metrics.sim_fault_blocks fault_blocks;
+            Metrics.record m Metrics.sim_faults_dropped dropped)
+          metrics)
+  in
+  Option.iter (fun m -> Metrics.record m Metrics.sim_steals steals) metrics
+
+let good_values ?metrics pool c packed =
   let nb = P.num_blocks packed in
   let goods = Array.make nb [||] in
-  parallel_ranges ~domains nb (fun lo hi ->
-      for b = lo to hi - 1 do
-        goods.(b) <- P.eval c (P.block packed b)
-      done);
-  Option.iter
-    (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
-    metrics;
+  ignore
+    (Domain_pool.run pool ~chunks:nb (fun b ->
+         goods.(b) <- P.eval c (P.block packed b)));
+  Option.iter (fun m -> Metrics.record m Metrics.sim_blocks nb) metrics;
   goods
 
 (* Good-machine words for every block in one flat GC-opaque buffer,
@@ -79,9 +80,7 @@ let good_values_flat ?(domains = 1) ?metrics ?pool ?stripe c packed =
     else
       Domain_pool.with_pool ~domains (fun pool ->
           P.eval_all_into ~pool ?stripe c packed ~dst:goods));
-  Option.iter
-    (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
-    metrics;
+  Option.iter (fun m -> Metrics.record m Metrics.sim_blocks nb) metrics;
   goods
 
 (* One fault's activation word for block [b], phrased so every load,
@@ -122,15 +121,6 @@ let sweep_floating_row row ~nb ~masks =
     Bigarray.Array1.unsafe_set row blk (Array.unsafe_get masks blk)
   done
 
-(* Faults are scheduled as round-robin chunks over the pool rather
-   than fixed per-domain ranges: fault dropping (and the measurable
-   filter) makes per-fault cost wildly uneven, and a domain whose
-   static range emptied early used to idle.  Chunks small enough to
-   rebalance, large enough that one atomic claim amortizes. *)
-let fault_chunk = 64
-
-let chunk_count nf = (nf + fault_chunk - 1) / fault_chunk
-
 (* Full matrix: every measurable fault visits every block (no
    dropping — callers want the complete detection sets).  Writes are
    disjoint per fault, so the fault chunks need no synchronization. *)
@@ -145,31 +135,21 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
   let nv = P.n_vectors packed in
   let masks = Array.init nb (fun b -> P.block_mask packed b) in
   let rows = Array.init nf (fun _ -> Bitvec.create nv) in
-  let fault_blocks = Atomic.make 0 in
-  let steals =
-    Domain_pool.run pool ~chunks:(chunk_count nf) (fun ch ->
-        let lo = ch * fault_chunk in
-        let hi = Stdlib.min nf (lo + fault_chunk) in
-        let fb = ref 0 in
-        for f = lo to hi - 1 do
-          let inj = faults.(f) in
-          if measurable inj then begin
-            let row = Bitvec.unsafe_words rows.(f) in
-            (match inj.Fault.fault with
-            | Fault.Bridge (a, b) -> sweep_bridge_row row goods ~nb ~masks ~a ~b
-            | Fault.Gate_oxide_short (id, polarity) ->
-              sweep_gos_row row goods ~nb ~masks ~id ~polarity
-            | Fault.Floating_gate _ -> sweep_floating_row row ~nb ~masks);
-            fb := !fb + nb
-          end
-        done;
-        ignore (Atomic.fetch_and_add fault_blocks !fb))
-  in
-  Option.iter
-    (fun m ->
-      Metrics.record_fault_sim ~steals m ~blocks:0
-        ~fault_blocks:(Atomic.get fault_blocks) ~dropped:0)
-    metrics;
+  fault_chunks ?metrics pool nf (fun lo hi ->
+      let fb = ref 0 in
+      for f = lo to hi - 1 do
+        let inj = faults.(f) in
+        if measurable inj then begin
+          let row = Bitvec.unsafe_words rows.(f) in
+          (match inj.Fault.fault with
+          | Fault.Bridge (a, b) -> sweep_bridge_row row goods ~nb ~masks ~a ~b
+          | Fault.Gate_oxide_short (id, polarity) ->
+            sweep_gos_row row goods ~nb ~masks ~id ~polarity
+          | Fault.Floating_gate _ -> sweep_floating_row row ~nb ~masks);
+          fb := !fb + nb
+        end
+      done;
+      (!fb, 0));
   { n_vectors = nv; rows }
 
 (* First detections only: fault dropping — a detected fault never
@@ -204,37 +184,26 @@ let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
     | Fault.Floating_gate _ -> Array.unsafe_get masks blk
   in
   let first = Array.make nf (-1) in
-  let fault_blocks = Atomic.make 0 and dropped = Atomic.make 0 in
-  let steals =
-    Domain_pool.run pool ~chunks:(chunk_count nf) (fun ch ->
-        let lo = ch * fault_chunk in
-        let hi = Stdlib.min nf (lo + fault_chunk) in
-        let fb = ref 0 and dr = ref 0 in
-        for f = lo to hi - 1 do
-          let inj = faults.(f) in
-          if measurable inj then begin
-            let rec scan b =
-              if b < nb then begin
-                incr fb;
-                if act_word b inj.Fault.fault <> 0L then begin
-                  first.(f) <-
-                    (b * 64) + Bitvec.ctz64 (act_word b inj.Fault.fault);
-                  incr dr
-                end
-                else scan (b + 1)
+  fault_chunks ?metrics pool nf (fun lo hi ->
+      let fb = ref 0 and dr = ref 0 in
+      for f = lo to hi - 1 do
+        let inj = faults.(f) in
+        if measurable inj then begin
+          let rec scan b =
+            if b < nb then begin
+              incr fb;
+              if act_word b inj.Fault.fault <> 0L then begin
+                first.(f) <-
+                  (b * 64) + Bitvec.ctz64 (act_word b inj.Fault.fault);
+                incr dr
               end
-            in
-            scan 0
-          end
-        done;
-        ignore (Atomic.fetch_and_add fault_blocks !fb);
-        ignore (Atomic.fetch_and_add dropped !dr))
-  in
-  Option.iter
-    (fun m ->
-      Metrics.record_fault_sim ~steals m ~blocks:0
-        ~fault_blocks:(Atomic.get fault_blocks) ~dropped:(Atomic.get dropped))
-    metrics;
+              else scan (b + 1)
+            end
+          in
+          scan 0
+        end
+      done;
+      (!fb, !dr));
   first
 
 (* The pre-CSR packed engine, verbatim: boxed per-block node words via
@@ -243,14 +212,15 @@ let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
    [kernels] bench). *)
 let detection_matrix_boxed_with ?(domains = 1) ?metrics c ~measurable ~vectors
     ~faults =
+  Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
-  let goods = good_values ~domains ?metrics c packed in
+  let goods = good_values ?metrics pool c packed in
   let faults = Array.of_list faults in
   let nf = Array.length faults in
   let nb = P.num_blocks packed in
   let nv = P.n_vectors packed in
   let rows = Array.init nf (fun _ -> Bitvec.create nv) in
-  parallel_ranges ~domains nf (fun lo hi ->
+  fault_chunks ?metrics pool nf (fun lo hi ->
       let fault_blocks = ref 0 in
       for f = lo to hi - 1 do
         let inj = faults.(f) in
@@ -265,11 +235,7 @@ let detection_matrix_boxed_with ?(domains = 1) ?metrics c ~measurable ~vectors
           fault_blocks := !fault_blocks + nb
         end
       done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:0)
-        metrics);
+      (!fault_blocks, 0));
   { n_vectors = nv; rows }
 
 let circuit_of p = Charac.circuit (Partition.charac p)

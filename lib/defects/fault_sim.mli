@@ -51,15 +51,14 @@ val measurable : Iddq_core.Partition.t -> Fault.injected -> bool
     sensor? *)
 
 val good_values :
-  ?domains:int ->
   ?metrics:Metrics.t ->
+  Iddq_util.Domain_pool.t ->
   Iddq_netlist.Circuit.t ->
   Iddq_patterns.Parallel_sim.packed ->
   int64 array array
-(** Good-machine node words for every block, evaluated in parallel
-    over the [Domain] pool, in the boxed pre-CSR representation.
-    Shared read-only by all fault chunks (also by
-    {!Stuck_at.fault_simulate}). *)
+(** Good-machine node words for every block, one pool chunk per
+    block, in the boxed pre-CSR representation.  Shared read-only by
+    all fault chunks (also by {!Stuck_at.fault_simulate}). *)
 
 val good_values_flat :
   ?domains:int ->
@@ -164,8 +163,17 @@ val detection_matrix_scalar :
     reproduce.  Kept (and benchmarked against, see the [faultsim]
     experiment) as the differential-test oracle. *)
 
-val parallel_ranges : domains:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_ranges ~domains n f] splits [0..n-1] into contiguous
-    chunks and runs [f lo hi] on each, one chunk per [Domain] (the
-    calling domain takes the first).  [f] must only write disjoint
-    state per chunk.  Exposed for {!Stuck_at} and the benches. *)
+(** {1 Fault scheduling} *)
+
+val fault_chunks :
+  ?metrics:Metrics.t ->
+  Iddq_util.Domain_pool.t ->
+  int ->
+  (int -> int -> int * int) ->
+  unit
+(** [fault_chunks pool n f] runs [f lo hi] over [0 .. n-1] in 64-fault
+    chunks claimed round-robin off [pool]
+    ({!Iddq_util.Domain_pool.run}).  Each [f lo hi] returns its
+    per-fault block passes and dropped faults, recorded in [metrics]
+    with the rebalanced chunks ([sim_steals]).  [f] must only write
+    disjoint state per chunk.  Shared with {!Stuck_at}. *)

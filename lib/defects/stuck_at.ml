@@ -89,18 +89,18 @@ type sim_result = {
 
 (* Bit-parallel (64 vectors per pass) serial fault simulation with
    fault dropping: the vector set is packed once, the good machine is
-   shared across all faults ({!Fault_sim.good_values}), and fault
-   chunks are distributed over a [Domain] pool. *)
+   shared across all faults ({!Fault_sim.good_values}), and 64-fault
+   chunks are claimed round-robin off a {!Iddq_util.Domain_pool}. *)
 let fault_simulate ?(domains = 1) ?metrics c ~vectors ~faults =
   let module P = Iddq_patterns.Parallel_sim in
-  let module Metrics = Iddq_util.Metrics in
   let fault_arr = Array.of_list faults in
   let nf = Array.length fault_arr in
   let first_vector = Array.make nf (-1) in
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
-  let goods = Fault_sim.good_values ~domains ?metrics c packed in
-  Fault_sim.parallel_ranges ~domains nf (fun lo hi ->
+  Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
+  let goods = Fault_sim.good_values ?metrics pool c packed in
+  Fault_sim.fault_chunks ?metrics pool nf (fun lo hi ->
       let fault_blocks = ref 0 and dropped = ref 0 in
       for f = lo to hi - 1 do
         let fault = fault_arr.(f) in
@@ -127,11 +127,7 @@ let fault_simulate ?(domains = 1) ?metrics c ~vectors ~faults =
         in
         scan 0
       done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:!dropped)
-        metrics);
+      (!fault_blocks, !dropped));
   let detected =
     Array.fold_left (fun acc v -> if v >= 0 then acc + 1 else acc) 0 first_vector
   in
@@ -151,15 +147,15 @@ let undetected ?domains ?metrics c ~vectors ~faults =
    what the test-set minimizers ({!Coverage}) run on. *)
 let detection_matrix ?(domains = 1) ?metrics c ~vectors ~faults =
   let module P = Iddq_patterns.Parallel_sim in
-  let module Metrics = Iddq_util.Metrics in
   let fault_arr = Array.of_list faults in
   let nf = Array.length fault_arr in
   let nv = Array.length vectors in
   let rows = Array.init nf (fun _ -> Iddq_util.Bitvec.create nv) in
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
-  let goods = Fault_sim.good_values ~domains ?metrics c packed in
-  Fault_sim.parallel_ranges ~domains nf (fun lo hi ->
+  Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
+  let goods = Fault_sim.good_values ?metrics pool c packed in
+  Fault_sim.fault_chunks ?metrics pool nf (fun lo hi ->
       let fault_blocks = ref 0 in
       for f = lo to hi - 1 do
         let fault = fault_arr.(f) in
@@ -178,9 +174,5 @@ let detection_matrix ?(domains = 1) ?metrics c ~vectors ~faults =
           if diff <> 0L then Iddq_util.Bitvec.set_word rows.(f) b diff
         done
       done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:0)
-        metrics);
+      (!fault_blocks, 0));
   { Fault_sim.n_vectors = nv; rows }

@@ -50,8 +50,9 @@ val fault_simulate :
   sim_result
 (** 64-way bit-parallel serial fault simulation with fault dropping (a
     detected fault is not re-simulated): vectors packed once, the good
-    machine shared across faults, fault chunks over [domains] (default
-    1) [Domain]s. *)
+    machine shared across faults, 64-fault chunks over a [domains]-wide
+    (default 1) {!Iddq_util.Domain_pool}.  Results are identical for
+    every [domains]. *)
 
 val undetected :
   ?domains:int ->

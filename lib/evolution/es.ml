@@ -50,33 +50,6 @@ let check_params p =
   if p.epsilon < 0.0 then invalid_arg "Es.run: epsilon < 0";
   if p.domains < 1 then invalid_arg "Es.run: domains < 1"
 
-(* Evaluate [f] over the array on up to [domains] domains, work-stealing
-   by index.  [f] must not touch shared mutable state (the ES only maps
-   the cost function over freshly built, independent solutions). *)
-let parallel_map ~domains f xs =
-  let n = Array.length xs in
-  if domains <= 1 || n <= 1 then Array.map f xs
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (f xs.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      Array.init (Stdlib.min domains n - 1) (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Domain.join spawned;
-    Array.map (function Some r -> r | None -> assert false) results
-  end
-
 (* The child's step width is normally distributed around the parent's
    (variance epsilon), clipped to >= 1. *)
 let child_step rng params parent_step =
@@ -88,6 +61,7 @@ let child_step rng params parent_step =
 let run ?(on_generation = fun _ -> ()) params rng (problem : _ problem) starts =
   check_params params;
   if starts = [] then invalid_arg "Es.run: no start solutions";
+  Iddq_util.Domain_pool.with_pool ~domains:params.domains @@ fun pool ->
   let make_individual solution =
     { solution; cost = problem.cost solution; age = 0; step = params.m_init }
   in
@@ -128,11 +102,10 @@ let run ?(on_generation = fun _ -> ()) params rng (problem : _ problem) starts =
     (* [!specs] is in reverse creation order, matching the list an
        interleaved cons loop would have produced. *)
     let spec_arr = Array.of_list !specs in
-    let costs =
-      parallel_map ~domains:params.domains
-        (fun (sol, _) -> problem.cost sol)
-        spec_arr
-    in
+    let costs = Array.make (Array.length spec_arr) 0.0 in
+    ignore
+      (Iddq_util.Domain_pool.run pool ~chunks:(Array.length spec_arr) (fun i ->
+           costs.(i) <- problem.cost (fst spec_arr.(i))));
     let children = ref [] in
     for i = Array.length spec_arr - 1 downto 0 do
       let sol, step = spec_arr.(i) in

@@ -26,7 +26,9 @@ type params = {
           in a fixed order, so the run is deterministic and identical
           for every value of [domains].  With [domains > 1] the
           problem's [cost] must be safe to call concurrently on
-          distinct solutions.  Default 1 (fully sequential). *)
+          distinct solutions; one {!Iddq_util.Domain_pool} of that
+          size serves the whole {!run}.  Default 1 (fully
+          sequential). *)
 }
 
 val default_params : params

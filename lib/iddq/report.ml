@@ -79,45 +79,10 @@ let table rows =
     rows;
   t
 
-let metrics_table (s : Iddq_util.Metrics.snapshot) =
-  let t =
-    Table.create
-      [
-        ("evaluations", Table.Right);
-        ("full", Table.Right);
-        ("delta", Table.Right);
-        ("cached", Table.Right);
-        ("moves", Table.Right);
-        ("gate work full", Table.Right);
-        ("gate work delta", Table.Right);
-        ("eval-equivalents", Table.Right);
-        ("speedup", Table.Right);
-        ("sim blocks", Table.Right);
-        ("sim fault-blocks", Table.Right);
-        ("sim dropped", Table.Right);
-        ("sim steals", Table.Right);
-      ]
-  in
-  Table.add_row t
-    [
-      string_of_int (Iddq_util.Metrics.evaluations s);
-      string_of_int s.Iddq_util.Metrics.full_evals;
-      string_of_int s.Iddq_util.Metrics.delta_evals;
-      string_of_int s.Iddq_util.Metrics.cache_hits;
-      string_of_int s.Iddq_util.Metrics.moves;
-      string_of_int s.Iddq_util.Metrics.gates_full;
-      string_of_int s.Iddq_util.Metrics.gates_delta;
-      Printf.sprintf "%.1f" (Iddq_util.Metrics.equivalent_evals s);
-      Printf.sprintf "%.1fx" (Iddq_util.Metrics.speedup s);
-      string_of_int s.Iddq_util.Metrics.sim_blocks;
-      string_of_int s.Iddq_util.Metrics.sim_fault_blocks;
-      string_of_int s.Iddq_util.Metrics.sim_faults_dropped;
-      string_of_int s.Iddq_util.Metrics.sim_steals;
-    ];
+let metrics_table s =
+  let t = Table.create [ ("counter", Table.Left); ("value", Table.Right) ] in
+  List.iter (fun (k, v) -> Table.add_row t [ k; v ]) (Iddq_util.Metrics.rows s);
   t
-
-let pp_metrics fmt s =
-  Format.fprintf fmt "@[<hov 2>%a@]" Iddq_util.Metrics.pp s
 
 let pp_pipeline fmt (r : Pipeline.t) =
   Format.fprintf fmt "method=%s modules=%d generations=%d@."

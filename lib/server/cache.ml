@@ -96,14 +96,14 @@ let memo t table key compute =
   locked t (fun () ->
       match Lru.find_opt table key with
       | Some v ->
-        Metrics.record_server_cache t.metrics ~hit:true;
+        Metrics.incr t.metrics Metrics.cache_hits;
         v
       | None ->
-        Metrics.record_server_cache t.metrics ~hit:false;
+        Metrics.incr t.metrics Metrics.cache_misses;
         let v = compute () in
         let evicted = Lru.insert table key v in
         if evicted > 0 then
-          Metrics.record_cache_eviction ~count:evicted t.metrics;
+          Metrics.record t.metrics Metrics.cache_evictions evicted;
         v)
 
 let add_circuit t c =

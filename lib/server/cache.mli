@@ -11,12 +11,12 @@
     ([max_entries] per table, default 256), so a long-lived server fed
     an unbounded stream of distinct circuits holds steady memory
     instead of growing without bound.  Evictions are counted into the
-    service's metrics ([server_cache_evictions]); an evicted entry is
+    service's metrics ([cache_evictions]); an evicted entry is
     simply recomputed on next use.
 
     All operations are domain-safe (one lock); derived-value lookups
     record hit/miss into the service's {!Iddq_util.Metrics.t}
-    ([server_cache_hits]/[server_cache_misses]). *)
+    ([cache_hits]/[cache_misses]). *)
 
 type t
 

@@ -1,5 +1,4 @@
 module Json = Iddq_util.Json
-module Metrics = Iddq_util.Metrics
 module Pipeline = Iddq.Pipeline
 
 type request =
@@ -462,29 +461,3 @@ let response_payload j =
       Error { code; message }
     | None -> Error (error Internal "response carries neither ok nor error")
   end
-
-let snapshot_json (s : Metrics.snapshot) =
-  Json.Obj
-    [
-      ("requests", Json.Int s.Metrics.requests);
-      ("requests_failed", Json.Int s.Metrics.requests_failed);
-      ("seconds_requests", Json.Float s.Metrics.seconds_requests);
-      ("cache_hits", Json.Int s.Metrics.server_cache_hits);
-      ("cache_misses", Json.Int s.Metrics.server_cache_misses);
-      ("cache_evictions", Json.Int s.Metrics.server_cache_evictions);
-      ("full_evals", Json.Int s.Metrics.full_evals);
-      ("delta_evals", Json.Int s.Metrics.delta_evals);
-      ("eval_cache_hits", Json.Int s.Metrics.cache_hits);
-      ("moves", Json.Int s.Metrics.moves);
-      ("gates_full", Json.Int s.Metrics.gates_full);
-      ("gates_delta", Json.Int s.Metrics.gates_delta);
-      ("seconds_full", Json.Float s.Metrics.seconds_full);
-      ("seconds_delta", Json.Float s.Metrics.seconds_delta);
-      ("sim_blocks", Json.Int s.Metrics.sim_blocks);
-      ("sim_fault_blocks", Json.Int s.Metrics.sim_fault_blocks);
-      ("sim_faults_dropped", Json.Int s.Metrics.sim_faults_dropped);
-      ("sim_steals", Json.Int s.Metrics.sim_steals);
-      ("sheds", Json.Int s.Metrics.server_sheds);
-      ("queue_peak", Json.Int s.Metrics.server_queue_peak);
-      ("wbuf_peak", Json.Int s.Metrics.server_wbuf_peak);
-    ]

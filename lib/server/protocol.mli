@@ -121,7 +121,3 @@ val response_payload :
 (** Split a received response into its [ok] payload or [error]. *)
 
 val response_id : Iddq_util.Json.t -> int option
-
-val snapshot_json : Iddq_util.Metrics.snapshot -> Iddq_util.Json.t
-(** The counter set as a JSON object (the [metrics] response payload
-    core). *)

@@ -230,7 +230,7 @@ type loop_state = {
 
 let queue_out t conn bytes =
   Netbuf.append_string conn.wbuf bytes;
-  Metrics.record_wbuf t.metrics (Netbuf.length conn.wbuf)
+  Metrics.record t.metrics Metrics.wbuf_peak (Netbuf.length conn.wbuf)
 
 let kill t st conn =
   if conn.alive then begin
@@ -255,7 +255,7 @@ let maybe_close t st conn =
   then kill t st conn
 
 let shed_response t conn j =
-  Metrics.record_shed t.metrics;
+  Metrics.incr t.metrics Metrics.sheds;
   let id = Protocol.response_id j in
   queue_out t conn
     (Frame.encode
@@ -278,7 +278,7 @@ let admit t st conn j =
     st.admitted <- st.admitted + 1;
     Queue.push j conn.pending;
     t.queued <- t.queued + 1;
-    Metrics.record_queue_depth t.metrics t.queued;
+    Metrics.record t.metrics Metrics.queue_peak t.queued;
     if (not conn.executing) && Queue.length conn.pending = 1 then begin
       Queue.push conn t.ring;
       Condition.signal t.work_cv

@@ -426,7 +426,7 @@ let metrics_payload t =
   let s = Cache.stats t.cache in
   Json.Obj
     [
-      ("counters", Protocol.snapshot_json (Metrics.snapshot t.metrics));
+      ("counters", Metrics.to_json (Metrics.snapshot t.metrics));
       ( "cache",
         Json.Obj
           [
@@ -515,7 +515,9 @@ let handle t j =
            (Printf.sprintf "request took %.3fs (budget %.3fs)" elapsed limit))
     | _ -> result
   in
-  Metrics.record_request t.metrics ~ok:(Result.is_ok result) ~seconds:elapsed;
+  Metrics.incr t.metrics Metrics.requests;
+  if Result.is_error result then Metrics.incr t.metrics Metrics.requests_failed;
+  Metrics.record t.metrics Metrics.seconds_requests elapsed;
   let resp =
     match result with
     | Ok payload -> Protocol.ok_response ~id payload

@@ -1,50 +1,56 @@
-type t = {
-  full_evals : int Atomic.t;
-  delta_evals : int Atomic.t;
-  cache_hits : int Atomic.t;
-  moves : int Atomic.t;
-  gates_full : int Atomic.t;
-  gates_delta : int Atomic.t;
-  seconds_full : float Atomic.t;
-  seconds_delta : float Atomic.t;
-  sim_blocks : int Atomic.t;
-  sim_fault_blocks : int Atomic.t;
-  sim_faults_dropped : int Atomic.t;
-  sim_steals : int Atomic.t;
-  requests : int Atomic.t;
-  requests_failed : int Atomic.t;
-  seconds_requests : float Atomic.t;
-  server_cache_hits : int Atomic.t;
-  server_cache_misses : int Atomic.t;
-  server_cache_evictions : int Atomic.t;
-  server_sheds : int Atomic.t;
-  server_queue_peak : int Atomic.t;
-  server_wbuf_peak : int Atomic.t;
-}
+type _ kind = Sum : int kind | Seconds : float kind | Peak : int kind
+
+type 'a counter = { name : string; kind : 'a kind; slot : int }
+type any = Any : 'a counter -> any
+
+(* The registry: every counter below claims the next slot of its cell
+   array at module initialisation, so recording indexes an array and
+   never looks a name up. *)
+let n_ints = ref 0
+let n_floats = ref 0
+let declared = ref []
+
+let declare (type a) name (kind : a kind) : a counter =
+  let next r = let s = !r in r := s + 1; s in
+  let slot =
+    match kind with Seconds -> next n_floats | Sum | Peak -> next n_ints
+  in
+  let c = { name; kind; slot } in
+  declared := Any c :: !declared;
+  c
+
+let full_evals = declare "full_evals" Sum
+let delta_evals = declare "delta_evals" Sum
+let eval_cache_hits = declare "eval_cache_hits" Sum
+let moves = declare "moves" Sum
+let gates_full = declare "gates_full" Sum
+let gates_delta = declare "gates_delta" Sum
+let seconds_full = declare "seconds_full" Seconds
+let seconds_delta = declare "seconds_delta" Seconds
+let sim_blocks = declare "sim_blocks" Sum
+let sim_fault_blocks = declare "sim_fault_blocks" Sum
+let sim_faults_dropped = declare "sim_faults_dropped" Sum
+let sim_steals = declare "sim_steals" Sum
+let requests = declare "requests" Sum
+let requests_failed = declare "requests_failed" Sum
+let seconds_requests = declare "seconds_requests" Seconds
+let cache_hits = declare "cache_hits" Sum
+let cache_misses = declare "cache_misses" Sum
+let cache_evictions = declare "cache_evictions" Sum
+let sheds = declare "sheds" Sum
+let queue_peak = declare "queue_peak" Peak
+let wbuf_peak = declare "wbuf_peak" Peak
+
+let all = List.rev !declared
+let name c = c.name
+let kind c = c.kind
+
+type t = { ints : int Atomic.t array; floats : float Atomic.t array }
 
 let create () =
   {
-    full_evals = Atomic.make 0;
-    delta_evals = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    moves = Atomic.make 0;
-    gates_full = Atomic.make 0;
-    gates_delta = Atomic.make 0;
-    seconds_full = Atomic.make 0.0;
-    seconds_delta = Atomic.make 0.0;
-    sim_blocks = Atomic.make 0;
-    sim_fault_blocks = Atomic.make 0;
-    sim_faults_dropped = Atomic.make 0;
-    sim_steals = Atomic.make 0;
-    requests = Atomic.make 0;
-    requests_failed = Atomic.make 0;
-    seconds_requests = Atomic.make 0.0;
-    server_cache_hits = Atomic.make 0;
-    server_cache_misses = Atomic.make 0;
-    server_cache_evictions = Atomic.make 0;
-    server_sheds = Atomic.make 0;
-    server_queue_peak = Atomic.make 0;
-    server_wbuf_peak = Atomic.make 0;
+    ints = Array.init !n_ints (fun _ -> Atomic.make 0);
+    floats = Array.init !n_floats (fun _ -> Atomic.make 0.0);
   }
 
 let global = create ()
@@ -54,173 +60,188 @@ let rec add_float cell x =
   let cur = Atomic.get cell in
   if not (Atomic.compare_and_set cell cur (cur +. x)) then add_float cell x
 
-let record_full t ~gates ~seconds =
-  ignore (Atomic.fetch_and_add t.full_evals 1);
-  ignore (Atomic.fetch_and_add t.gates_full gates);
-  add_float t.seconds_full seconds
-
-let record_delta t ~gates ~seconds =
-  ignore (Atomic.fetch_and_add t.delta_evals 1);
-  ignore (Atomic.fetch_and_add t.gates_delta gates);
-  add_float t.seconds_delta seconds
-
-let record_hit t = ignore (Atomic.fetch_and_add t.cache_hits 1)
-let record_move t = ignore (Atomic.fetch_and_add t.moves 1)
-
-let record_fault_sim ?(steals = 0) t ~blocks ~fault_blocks ~dropped =
-  ignore (Atomic.fetch_and_add t.sim_blocks blocks);
-  ignore (Atomic.fetch_and_add t.sim_fault_blocks fault_blocks);
-  ignore (Atomic.fetch_and_add t.sim_faults_dropped dropped);
-  ignore (Atomic.fetch_and_add t.sim_steals steals)
-
-let record_request t ~ok ~seconds =
-  ignore (Atomic.fetch_and_add t.requests 1);
-  if not ok then ignore (Atomic.fetch_and_add t.requests_failed 1);
-  add_float t.seconds_requests seconds
-
-let record_server_cache t ~hit =
-  if hit then ignore (Atomic.fetch_and_add t.server_cache_hits 1)
-  else ignore (Atomic.fetch_and_add t.server_cache_misses 1)
-
-let record_cache_eviction ?(count = 1) t =
-  ignore (Atomic.fetch_and_add t.server_cache_evictions count)
-
 (* lock-free max for the high-water marks *)
 let rec max_int_atomic cell x =
   let cur = Atomic.get cell in
   if x > cur && not (Atomic.compare_and_set cell cur x) then
     max_int_atomic cell x
 
-let record_shed t = ignore (Atomic.fetch_and_add t.server_sheds 1)
-let record_queue_depth t depth = max_int_atomic t.server_queue_peak depth
-let record_wbuf t bytes = max_int_atomic t.server_wbuf_peak bytes
+let record (type a) t (c : a counter) (v : a) =
+  match c.kind with
+  | Sum -> ignore (Atomic.fetch_and_add t.ints.(c.slot) v)
+  | Peak -> max_int_atomic t.ints.(c.slot) v
+  | Seconds -> add_float t.floats.(c.slot) v
 
-type snapshot = {
-  full_evals : int;
-  delta_evals : int;
-  cache_hits : int;
-  moves : int;
-  gates_full : int;
-  gates_delta : int;
-  seconds_full : float;
-  seconds_delta : float;
-  sim_blocks : int;
-  sim_fault_blocks : int;
-  sim_faults_dropped : int;
-  sim_steals : int;
-  requests : int;
-  requests_failed : int;
-  seconds_requests : float;
-  server_cache_hits : int;
-  server_cache_misses : int;
-  server_cache_evictions : int;
-  server_sheds : int;
-  server_queue_peak : int;
-  server_wbuf_peak : int;
-}
+let incr t c = record t c 1
 
-let snapshot (t : t) =
-  {
-    full_evals = Atomic.get t.full_evals;
-    delta_evals = Atomic.get t.delta_evals;
-    cache_hits = Atomic.get t.cache_hits;
-    moves = Atomic.get t.moves;
-    gates_full = Atomic.get t.gates_full;
-    gates_delta = Atomic.get t.gates_delta;
-    seconds_full = Atomic.get t.seconds_full;
-    seconds_delta = Atomic.get t.seconds_delta;
-    sim_blocks = Atomic.get t.sim_blocks;
-    sim_fault_blocks = Atomic.get t.sim_fault_blocks;
-    sim_faults_dropped = Atomic.get t.sim_faults_dropped;
-    sim_steals = Atomic.get t.sim_steals;
-    requests = Atomic.get t.requests;
-    requests_failed = Atomic.get t.requests_failed;
-    seconds_requests = Atomic.get t.seconds_requests;
-    server_cache_hits = Atomic.get t.server_cache_hits;
-    server_cache_misses = Atomic.get t.server_cache_misses;
-    server_cache_evictions = Atomic.get t.server_cache_evictions;
-    server_sheds = Atomic.get t.server_sheds;
-    server_queue_peak = Atomic.get t.server_queue_peak;
-    server_wbuf_peak = Atomic.get t.server_wbuf_peak;
-  }
+let record_full t ~gates ~seconds =
+  incr t full_evals;
+  record t gates_full gates;
+  record t seconds_full seconds
 
-let reset (t : t) =
-  Atomic.set t.full_evals 0;
-  Atomic.set t.delta_evals 0;
-  Atomic.set t.cache_hits 0;
-  Atomic.set t.moves 0;
-  Atomic.set t.gates_full 0;
-  Atomic.set t.gates_delta 0;
-  Atomic.set t.seconds_full 0.0;
-  Atomic.set t.seconds_delta 0.0;
-  Atomic.set t.sim_blocks 0;
-  Atomic.set t.sim_fault_blocks 0;
-  Atomic.set t.sim_faults_dropped 0;
-  Atomic.set t.sim_steals 0;
-  Atomic.set t.requests 0;
-  Atomic.set t.requests_failed 0;
-  Atomic.set t.seconds_requests 0.0;
-  Atomic.set t.server_cache_hits 0;
-  Atomic.set t.server_cache_misses 0;
-  Atomic.set t.server_cache_evictions 0;
-  Atomic.set t.server_sheds 0;
-  Atomic.set t.server_queue_peak 0;
-  Atomic.set t.server_wbuf_peak 0
+let record_delta t ~gates ~seconds =
+  incr t delta_evals;
+  record t gates_delta gates;
+  record t seconds_delta seconds
+
+let reset t =
+  Array.iter (fun a -> Atomic.set a 0) t.ints;
+  Array.iter (fun a -> Atomic.set a 0.0) t.floats
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots: each operation below is written once over [all]          *)
+(* ------------------------------------------------------------------ *)
+
+type snapshot = { s_ints : int array; s_floats : float array }
+
+let get (type a) s (c : a counter) : a =
+  match c.kind with
+  | Sum -> s.s_ints.(c.slot)
+  | Peak -> s.s_ints.(c.slot)
+  | Seconds -> s.s_floats.(c.slot)
+
+let set (type a) s (c : a counter) (v : a) =
+  match c.kind with
+  | Sum -> s.s_ints.(c.slot) <- v
+  | Peak -> s.s_ints.(c.slot) <- v
+  | Seconds -> s.s_floats.(c.slot) <- v
+
+let zero () =
+  { s_ints = Array.make !n_ints 0; s_floats = Array.make !n_floats 0.0 }
+
+type value = { f : 'a. 'a counter -> 'a }
+
+let init v =
+  let s = zero () in
+  List.iter (fun (Any c) -> set s c (v.f c)) all;
+  s
+
+let snapshot t =
+  init
+    {
+      f =
+        (fun (type a) (c : a counter) : a ->
+          match c.kind with
+          | Sum -> Atomic.get t.ints.(c.slot)
+          | Peak -> Atomic.get t.ints.(c.slot)
+          | Seconds -> Atomic.get t.floats.(c.slot));
+    }
 
 let diff after before =
-  {
-    full_evals = after.full_evals - before.full_evals;
-    delta_evals = after.delta_evals - before.delta_evals;
-    cache_hits = after.cache_hits - before.cache_hits;
-    moves = after.moves - before.moves;
-    gates_full = after.gates_full - before.gates_full;
-    gates_delta = after.gates_delta - before.gates_delta;
-    seconds_full = after.seconds_full -. before.seconds_full;
-    seconds_delta = after.seconds_delta -. before.seconds_delta;
-    sim_blocks = after.sim_blocks - before.sim_blocks;
-    sim_fault_blocks = after.sim_fault_blocks - before.sim_fault_blocks;
-    sim_faults_dropped = after.sim_faults_dropped - before.sim_faults_dropped;
-    sim_steals = after.sim_steals - before.sim_steals;
-    requests = after.requests - before.requests;
-    requests_failed = after.requests_failed - before.requests_failed;
-    seconds_requests = after.seconds_requests -. before.seconds_requests;
-    server_cache_hits = after.server_cache_hits - before.server_cache_hits;
-    server_cache_misses = after.server_cache_misses - before.server_cache_misses;
-    server_cache_evictions =
-      after.server_cache_evictions - before.server_cache_evictions;
-    server_sheds = after.server_sheds - before.server_sheds;
-    (* high-water marks, not counters: the later mark is the answer *)
-    server_queue_peak = after.server_queue_peak;
-    server_wbuf_peak = after.server_wbuf_peak;
-  }
+  init
+    {
+      f =
+        (fun (type a) (c : a counter) : a ->
+          match c.kind with
+          | Sum -> get after c - get before c
+          | Seconds -> get after c -. get before c
+          (* a high-water mark is not an increment: the later mark *)
+          | Peak -> get after c);
+    }
 
-let evaluations s = s.full_evals + s.delta_evals + s.cache_hits
+let strip_timing s =
+  init
+    {
+      f =
+        (fun (type a) (c : a counter) : a ->
+          match c.kind with Seconds -> 0.0 | Sum | Peak -> get s c);
+    }
+
+let value_json s (Any c) =
+  match c.kind with
+  | Seconds -> Json.Float (get s c)
+  | Sum -> Json.Int (get s c)
+  | Peak -> Json.Int (get s c)
+
+let to_json s =
+  Json.Obj (List.map (fun (Any c as a) -> (c.name, value_json s a)) all)
+
+(* The keys campaign stores used before the JSONL names became the
+   canonical ones. *)
+let legacy_keys =
+  [
+    ("full_evals", "full");
+    ("delta_evals", "delta");
+    ("eval_cache_hits", "hits");
+    ("seconds_full", "sec_full");
+    ("seconds_delta", "sec_delta");
+    ("sim_faults_dropped", "sim_dropped");
+    ("seconds_requests", "sec_requests");
+    ("cache_hits", "srv_hits");
+    ("cache_misses", "srv_misses");
+    ("cache_evictions", "srv_evictions");
+    ("sheds", "srv_sheds");
+    ("queue_peak", "srv_queue_peak");
+    ("wbuf_peak", "srv_wbuf_peak");
+  ]
+
+let of_json j =
+  match Json.to_obj j with
+  | None -> Error "counters: not a JSON object"
+  | Some kvs ->
+    let lookup name =
+      match List.assoc_opt name kvs with
+      | Some v -> Some (name, v)
+      | None ->
+        Option.bind (List.assoc_opt name legacy_keys) (fun key ->
+            Option.map (fun v -> (key, v)) (List.assoc_opt key kvs))
+    in
+    let decode (type a) (c : a counter) v : a option =
+      match c.kind with
+      | Seconds -> Json.to_float v
+      | Sum -> Json.to_int v
+      | Peak -> Json.to_int v
+    in
+    let s = zero () in
+    (* an absent counter is zero; a present one must have its kind *)
+    let rec go = function
+      | [] -> Ok s
+      | Any c :: rest -> (
+        match lookup c.name with
+        | None -> go rest
+        | Some (key, v) -> (
+          match decode c v with
+          | Some x -> set s c x; go rest
+          | None -> Error (Printf.sprintf "counters: bad value for %S" key)))
+    in
+    go all
+
+(* ------------------------------------------------------------------ *)
+(* Derived measures                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let evaluations s =
+  get s full_evals + get s delta_evals + get s eval_cache_hits
 
 let equivalent_evals s =
-  if s.full_evals = 0 then float_of_int (s.full_evals + s.delta_evals)
+  let full = get s full_evals in
+  let naive = float_of_int (full + get s delta_evals) in
+  if full = 0 then naive
   else begin
-    let gates_per_full =
-      float_of_int s.gates_full /. float_of_int s.full_evals
-    in
-    if gates_per_full <= 0.0 then float_of_int (s.full_evals + s.delta_evals)
-    else float_of_int s.full_evals +. (float_of_int s.gates_delta /. gates_per_full)
+    let per_full = float_of_int (get s gates_full) /. float_of_int full in
+    if per_full <= 0.0 then naive
+    else float_of_int full +. (float_of_int (get s gates_delta) /. per_full)
   end
 
 let speedup s =
   let eq = equivalent_evals s in
   if eq <= 0.0 then 1.0 else float_of_int (evaluations s) /. eq
 
+let rows s =
+  [
+    ("evaluations", string_of_int (evaluations s));
+    ("evaluate_equivalents", Printf.sprintf "%.1f" (equivalent_evals s));
+    ("speedup", Printf.sprintf "%.1fx" (speedup s));
+  ]
+  @ List.map
+      (fun (Any c as a) ->
+        ( c.name,
+          match value_json s a with
+          | Json.Float x -> Printf.sprintf "%.3f" x
+          | v -> Json.to_string v ))
+      all
+
 let pp fmt s =
-  Format.fprintf fmt
-    "evaluations=%d (full=%d delta=%d cached=%d) moves=%d@ gate recomputes: \
-     full=%d delta=%d@ evaluate-equivalents=%.1f (%.1fx fewer than naive)@ cpu: \
-     full=%.3fs delta=%.3fs@ fault sim: blocks=%d fault-blocks=%d dropped=%d steals=%d@ \
-     server: requests=%d (failed=%d, %.3fs) cache hits=%d misses=%d \
-     evictions=%d@ \
-     server load: sheds=%d queue-peak=%d wbuf-peak=%dB"
-    (evaluations s) s.full_evals s.delta_evals s.cache_hits s.moves s.gates_full
-    s.gates_delta (equivalent_evals s) (speedup s) s.seconds_full
-    s.seconds_delta s.sim_blocks s.sim_fault_blocks s.sim_faults_dropped
-    s.sim_steals s.requests s.requests_failed s.seconds_requests s.server_cache_hits
-    s.server_cache_misses s.server_cache_evictions s.server_sheds
-    s.server_queue_peak s.server_wbuf_peak
+  Format.pp_print_list ~pp_sep:Format.pp_print_space
+    (fun fmt (k, v) -> Format.fprintf fmt "%s=%s" k v)
+    fmt (rows s)

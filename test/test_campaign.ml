@@ -240,7 +240,7 @@ let golden_line_21 =
   {|{"job":"C432/evolution/s2","circuit":"C432","method":"evolution","seed":2,"derived_seed":99,"module_size":8,"status":"timeout","timeout_s":1.5,"elapsed":2.0,"modules":0,"generations":0,"module_sizes":[],"cost":0.0,"feasible":false,"area":0.0,"nominal_delay":0.0,"bic_delay":0.0,"test_time":0.0,"min_disc":0.0,"metrics":{"full":1,"delta":2,"hits":3,"moves":4,"gates_full":5,"gates_delta":6,"sec_full":0.5,"sec_delta":0.25,"sim_blocks":7,"sim_fault_blocks":8,"sim_dropped":9,"sim_steals":10,"requests":11,"requests_failed":12,"sec_requests":0.75,"srv_hits":13,"srv_misses":14,"srv_evictions":15,"srv_sheds":16,"srv_queue_peak":17,"srv_wbuf_peak":18}}|}
 
 let canonical_counters (s : Iddq_util.Metrics.snapshot) =
-  match Iddq_server.Protocol.snapshot_json s with
+  match Iddq_util.Metrics.to_json s with
   | Json.Obj kvs -> List.sort compare kvs
   | _ -> Alcotest.fail "counter set is not a JSON object"
 
@@ -301,7 +301,69 @@ let test_result_golden_lines () =
          ("sheds", Json.Int 16); ("queue_peak", Json.Int 17);
          ("wbuf_peak", Json.Int 18);
        ])
-    (canonical_counters r21.Job_result.metrics)
+    (canonical_counters r21.Job_result.metrics);
+  (* a counter present with the wrong JSON type is an error, for the
+     original keys and the later ones alike *)
+  List.iter
+    (fun (good, bad) ->
+      let n = String.length good in
+      let rec find i =
+        if String.sub golden_line_21 i n = good then i else find (i + 1)
+      in
+      let i = find 0 in
+      let line =
+        String.sub golden_line_21 0 i ^ bad
+        ^ String.sub golden_line_21 (i + n) (String.length golden_line_21 - i - n)
+      in
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Result.is_error (Job_result.of_line line)))
+    [
+      ({|"full":1|}, {|"full":"1"|});
+      ({|"sec_full":0.5|}, {|"sec_full":true|});
+      ({|"sim_blocks":7|}, {|"sim_blocks":"x"|});
+      ({|"srv_queue_peak":17|}, {|"srv_queue_peak":17.5|});
+      ({|"sec_requests":0.75|}, {|"sec_requests":null|});
+    ]
+
+(* Every declared counter, each holding a distinct value, survives the
+   JSONL record and the service's [metrics] payload unchanged. *)
+let test_counters_roundtrip () =
+  let module M = Iddq_util.Metrics in
+  let m = M.create () in
+  List.iteri
+    (fun i (M.Any c) ->
+      match M.kind c with
+      | M.Sum -> M.record m c ((i + 1) * 7)
+      | M.Peak -> M.record m c ((i + 1) * 11)
+      | M.Seconds -> M.record m c (float_of_int (i + 1) *. 0.125))
+    M.all;
+  let s = M.snapshot m in
+  let zero = M.snapshot (M.create ()) in
+  List.iter
+    (fun (M.Any c) ->
+      Alcotest.(check bool) (M.name c ^ " recorded") true
+        (M.get s c <> M.get zero c))
+    M.all;
+  let r =
+    Job_result.failure ~job:(sample_job ()) ~derived_seed:3 ~elapsed:0.5
+      ~metrics:s "boom"
+  in
+  (match Job_result.of_line (Job_result.to_line r) with
+  | Ok r' -> Alcotest.(check bool) "jsonl snapshot" true (r'.Job_result.metrics = s)
+  | Error e -> Alcotest.fail e);
+  let service = Iddq_server.Service.create ~metrics:m () in
+  let resp, _ =
+    Iddq_server.Service.handle service
+      (Iddq_server.Protocol.request_to_json Iddq_server.Protocol.Metrics)
+  in
+  (match
+     Result.map (Json.member "counters") (Iddq_server.Protocol.response_payload resp)
+   with
+  | Ok (Some counters) ->
+    Alcotest.(check bool) "metrics payload snapshot" true
+      (M.of_json counters = Ok s)
+  | _ -> Alcotest.fail "metrics response lacks counters");
+  Iddq_server.Service.stop service
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -622,6 +684,7 @@ let tests =
     Alcotest.test_case "result codec roundtrip" `Quick test_result_codec_roundtrip;
     Alcotest.test_case "result bad lines" `Quick test_result_bad_lines;
     Alcotest.test_case "result golden lines" `Quick test_result_golden_lines;
+    Alcotest.test_case "counters roundtrip" `Quick test_counters_roundtrip;
     Alcotest.test_case "store latest wins" `Quick test_store_latest_wins;
     Alcotest.test_case "store tolerates truncation" `Quick
       test_store_tolerates_truncation;

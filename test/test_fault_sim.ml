@@ -168,6 +168,27 @@ let test_stuck_at_domains_invariant () =
   Alcotest.(check (array int)) "same first vectors" base.Stuck_at.first_vector
     pooled.Stuck_at.first_vector
 
+(* The full stuck-at matrix is bit-identical whatever the pool size,
+   and so is the work it accounts (more chunks than domains, so the
+   pooled run really rebalances). *)
+let test_stuck_at_matrix_domains_invariant () =
+  let c = Iscas.c432_like () in
+  let rng = Rng.create 12 in
+  let vectors = Pattern_gen.random ~rng c ~count:130 in
+  let faults = Stuck_at.collapsed_fault_list c in
+  let run domains =
+    let metrics = Metrics.create () in
+    let m = Stuck_at.detection_matrix ~domains ~metrics c ~vectors ~faults in
+    (m, Metrics.snapshot metrics)
+  in
+  let base, s1 = run 1 and pooled, s3 = run 3 in
+  Alcotest.(check bool) "several fault chunks" true (List.length faults > 3 * 64);
+  Alcotest.(check bool) "bit-identical matrices" true (Fault_sim.equal base pooled);
+  Alcotest.(check int) "same fault-block passes"
+    (Metrics.get s1 Metrics.sim_fault_blocks)
+    (Metrics.get s3 Metrics.sim_fault_blocks);
+  Alcotest.(check int) "no steals on one domain" 0 (Metrics.get s1 Metrics.sim_steals)
+
 let test_metrics_counters () =
   let _, p, vectors, faults = random_case 3 in
   let metrics = Metrics.create () in
@@ -175,10 +196,10 @@ let test_metrics_counters () =
   let s = Metrics.snapshot metrics in
   let expected_blocks = (Array.length vectors + 63) / 64 in
   Alcotest.(check int) "good-machine blocks" expected_blocks
-    s.Metrics.sim_blocks;
+    (Metrics.get s Metrics.sim_blocks);
   Alcotest.(check bool) "fault-block passes recorded" true
-    (s.Metrics.sim_fault_blocks > 0);
-  Alcotest.(check int) "full matrix never drops" 0 s.Metrics.sim_faults_dropped;
+    ((Metrics.get s Metrics.sim_fault_blocks) > 0);
+  Alcotest.(check int) "full matrix never drops" 0 (Metrics.get s Metrics.sim_faults_dropped);
   let metrics = Metrics.create () in
   let first = Fault_sim.first_detections ~metrics p ~vectors ~faults in
   let s = Metrics.snapshot metrics in
@@ -186,7 +207,7 @@ let test_metrics_counters () =
     Array.fold_left (fun a v -> if v >= 0 then a + 1 else a) 0 first
   in
   Alcotest.(check int) "dropped = detected" detected
-    s.Metrics.sim_faults_dropped
+    (Metrics.get s Metrics.sim_faults_dropped)
 
 let test_empty_cases () =
   let _, p, vectors, _ = random_case 2 in
@@ -252,6 +273,8 @@ let tests =
       test_run_partitioned_domains_invariant;
     Alcotest.test_case "stuck-at domain invariant" `Quick
       test_stuck_at_domains_invariant;
+    Alcotest.test_case "stuck-at matrix domain invariant" `Quick
+      test_stuck_at_matrix_domains_invariant;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "empty cases" `Quick test_empty_cases;
   ]

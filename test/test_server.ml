@@ -295,17 +295,17 @@ let test_service_cache_hits () =
   let p1 = partition () in
   let s1 = Metrics.snapshot metrics in
   Alcotest.(check bool) "first partition misses the charac cache" true
-    (s1.Metrics.server_cache_misses > 0);
-  let hits_before = s1.Metrics.server_cache_hits in
+    ((Metrics.get s1 Metrics.cache_misses) > 0);
+  let hits_before = (Metrics.get s1 Metrics.cache_hits) in
   let p2 = partition () in
   let s2 = Metrics.snapshot metrics in
   Alcotest.(check bool) "second partition hits the charac cache" true
-    (s2.Metrics.server_cache_hits > hits_before);
+    ((Metrics.get s2 Metrics.cache_hits) > hits_before);
   Alcotest.(check int) "no new cache entries on the second partition"
-    s1.Metrics.server_cache_misses s2.Metrics.server_cache_misses;
+    (Metrics.get s1 Metrics.cache_misses) (Metrics.get s2 Metrics.cache_misses);
   Alcotest.check json "cached answers are identical" p1 p2;
   Alcotest.(check bool) "request latency recorded" true
-    (s2.Metrics.requests >= 3 && s2.Metrics.seconds_requests >= 0.0);
+    ((Metrics.get s2 Metrics.requests) >= 3 && (Metrics.get s2 Metrics.seconds_requests) >= 0.0);
   Service.stop service
 
 (* The [metrics] response's counter keys and JSON kinds are a wire
@@ -376,7 +376,7 @@ let test_service_errors () =
     Alcotest.(check bool) "module_size 0 is bad_request" true
       (e.Protocol.code = Protocol.Bad_request)
   | Ok _ -> Alcotest.fail "module_size 0 accepted");
-  let failed = (Metrics.snapshot (Service.metrics service)).Metrics.requests_failed in
+  let failed = Metrics.get (Metrics.snapshot (Service.metrics service)) Metrics.requests_failed in
   Alcotest.(check bool) "failures counted" true (failed >= 3);
   Service.stop service
 
@@ -409,13 +409,13 @@ let test_service_diagnose_cached () =
   let s2 = Metrics.snapshot metrics in
   Alcotest.check json "repeated diagnose is identical" p1 p2;
   Alcotest.(check bool) "repeated diagnose hits the engine cache" true
-    (s2.Metrics.server_cache_hits > s1.Metrics.server_cache_hits);
+    ((Metrics.get s2 Metrics.cache_hits) > (Metrics.get s1 Metrics.cache_hits));
   (* the engine cache key deliberately omits the measurement knobs, so
      an epsilon sweep reuses the detection matrix: no new misses *)
   ignore (diagnose 0.05);
   let s3 = Metrics.snapshot metrics in
   Alcotest.(check int) "epsilon sweep reuses the cached engine"
-    s2.Metrics.server_cache_misses s3.Metrics.server_cache_misses;
+    (Metrics.get s2 Metrics.cache_misses) (Metrics.get s3 Metrics.cache_misses);
   Service.stop service
 
 let test_service_testset_cached () =
@@ -440,13 +440,13 @@ let test_service_testset_cached () =
   let s2 = Metrics.snapshot metrics in
   Alcotest.check json "repeated testset is identical" p1 p2;
   Alcotest.(check bool) "repeated testset hits the engine cache" true
-    (s2.Metrics.server_cache_hits > s1.Metrics.server_cache_hits);
+    ((Metrics.get s2 Metrics.cache_hits) > (Metrics.get s1 Metrics.cache_hits));
   (* the memo key deliberately omits the strategy: a strategy sweep
      re-minimizes the cached matrix instead of re-running PODEM *)
   let p3 = testset Iddq_atpg.Atpg.Refined in
   let s3 = Metrics.snapshot metrics in
   Alcotest.(check int) "strategy sweep reuses the cached generation"
-    s2.Metrics.server_cache_misses s3.Metrics.server_cache_misses;
+    (Metrics.get s2 Metrics.cache_misses) (Metrics.get s3 Metrics.cache_misses);
   let field name p =
     match Option.bind (Json.member name p) Json.to_int with
     | Some v -> v
@@ -476,7 +476,7 @@ let test_service_cache_eviction () =
   let h880 = load "C880" in
   let s = Metrics.snapshot metrics in
   Alcotest.(check bool) "third circuit evicts the oldest" true
-    (s.Metrics.server_cache_evictions > 0);
+    ((Metrics.get s Metrics.cache_evictions) > 0);
   (* the least-recently-used handle is gone; the newest still answers *)
   (match ask service (Protocol.Characterize { handle = h17 }) with
   | Error e ->
@@ -778,7 +778,7 @@ let test_pipelined_burst_sheds () =
         Alcotest.(check int) "every request answered exactly once" n
           (List.length (List.sort_uniq compare !ids));
         Alcotest.(check bool) "sheds recorded in metrics" true
-          ((Metrics.snapshot metrics).Metrics.server_sheds >= 1);
+          (Metrics.get (Metrics.snapshot metrics) Metrics.sheds >= 1);
         (* the connection is still usable after being shed *)
         (match Client.request c Protocol.Metrics with
         | Ok _ -> ()
